@@ -9,6 +9,7 @@ package tsplit_test
 import (
 	"testing"
 
+	"tsplit/internal/baselines"
 	"tsplit/internal/core"
 	"tsplit/internal/device"
 	"tsplit/internal/experiments"
@@ -338,6 +339,39 @@ func BenchmarkPlannerReplanWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 		prev = plan
+	}
+}
+
+// --- graph-layer benchmarks: the set-up every max-scale probe pays ---
+
+// BenchmarkPrepare_ResNet101 times experiments.Prepare — model build,
+// schedule, liveness and profile — which the Table IV/V max-scale
+// searches re-run on every batch probe.
+func BenchmarkPrepare_ResNet101(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Prepare("resnet101", tsplitModelConfig(128), device.TitanRTX); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFinalizeWindows_Checkpoints times the sqrt(N) checkpointing
+// baseline on ResNet-101. Nearly all of it is core.FinalizeWindows
+// deriving chain transients: one recompute-chain walk per restoring
+// consumer of every recomputed activation.
+func BenchmarkFinalizeWindows_Checkpoints(b *testing.B) {
+	p, err := experiments.Prepare("resnet101", tsplitModelConfig(128), device.TitanRTX)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := baselines.Inputs{G: p.G, Sched: p.Sched, Lv: p.Lv, Prof: p.Prof, Dev: p.Dev}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := baselines.Checkpoints(in); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

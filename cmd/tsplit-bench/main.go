@@ -8,6 +8,10 @@
 //
 // -quick trims the scale-search bounds so a full run finishes in about
 // a minute; the defaults match the paper's ranges.
+//
+// An unknown id exits 2 (listing the known ids) before anything runs;
+// if any selected experiment fails, the rest still run and the command
+// exits 1.
 package main
 
 import (
@@ -15,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tsplit/internal/device"
@@ -41,7 +46,15 @@ func writeOut(path string, fn func(io.Writer) error) error {
 	return f.Close()
 }
 
-func main() {
+// experiment is one selectable section of the output.
+type experiment struct {
+	id  string
+	run func() (string, error)
+}
+
+func main() { os.Exit(bench()) }
+
+func bench() int {
 	exp := flag.String("exp", "all", "experiments to run (comma-separated ids, or 'all')")
 	quick := flag.Bool("quick", false, "trim scale-search bounds for a fast run")
 	metrics := flag.String("metrics", "", "write Prometheus text metrics for the whole run to this file (\"-\" = stdout)")
@@ -75,102 +88,88 @@ func main() {
 		hiParam = 16
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(id)] = true
+	var exps []experiment
+	add := func(id string, f func() (string, error)) {
+		exps = append(exps, experiment{id, f})
 	}
-	all := want["all"]
-	run := func(id string, f func() (string, error)) {
-		if !all && !want[id] {
-			return
-		}
-		start := obs.Wall()
-		out, err := f()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
-			return
-		}
-		fmt.Printf("===== %s (%.1fs) =====\n%s\n", id, obs.Wall().Sub(start).Seconds(), out)
-	}
-
-	run("fig1", func() (string, error) {
+	add("fig1", func() (string, error) {
 		grid, caps, err := experiments.Fig1BERTMemoryScale()
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderFig1(grid, caps), nil
 	})
-	run("fig2a", func() (string, error) {
+	add("fig2a", func() (string, error) {
 		fig, err := experiments.Fig2aMemoryTimeline(device.TitanRTX, 256)
 		if err != nil {
 			return "", err
 		}
 		return fig.Render(), nil
 	})
-	run("fig2b", func() (string, error) {
+	add("fig2b", func() (string, error) {
 		rows, err := experiments.Fig2bOverheadPCIe(device.TitanRTX, "superneurons")
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderOverhead("superneurons", rows), nil
 	})
-	run("table2", func() (string, error) {
+	add("table2", func() (string, error) {
 		buckets, err := experiments.Table2TensorSizes(32, 512)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderTable2(buckets), nil
 	})
-	run("fig5", func() (string, error) {
+	add("fig5", func() (string, error) {
 		curves, err := experiments.Fig5OpSplitCurves(device.TitanRTX, 64)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderFig5(curves), nil
 	})
-	run("table4", func() (string, error) {
+	add("table4", func() (string, error) {
 		return experiments.Table4MaxSampleScale(device.TitanRTX, hi).Render(), nil
 	})
-	run("table5", func() (string, error) {
+	add("table5", func() (string, error) {
 		return experiments.Table5MaxParamScale(device.TitanRTX, hiParam).Render(), nil
 	})
-	run("fig12", func() (string, error) {
+	add("fig12", func() (string, error) {
 		return experiments.Fig12ThroughputRTX().Render(), nil
 	})
-	run("fig13", func() (string, error) {
+	add("fig13", func() (string, error) {
 		return experiments.Fig13Throughput1080Ti().Render(), nil
 	})
-	run("fig14a", func() (string, error) {
+	add("fig14a", func() (string, error) {
 		rows, err := experiments.Fig14aScaleUnderThroughput(device.TitanRTX, hi)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderFig14a(rows), nil
 	})
-	run("fig14b", func() (string, error) {
+	add("fig14b", func() (string, error) {
 		rows, err := experiments.Fig14bStrategyMix(0)
 		if err != nil {
 			return "", err
 		}
 		return experiments.RenderFig14b(rows), nil
 	})
-	run("table6", func() (string, error) {
+	add("table6", func() (string, error) {
 		return experiments.Table6MaxSampleVsOffload(device.TitanRTX, hi).Render(), nil
 	})
-	run("table7", func() (string, error) {
+	add("table7", func() (string, error) {
 		return experiments.Table7MaxParamVsOffload(device.TitanRTX, hiParam).Render(), nil
 	})
-	run("fig15", func() (string, error) {
+	add("fig15", func() (string, error) {
 		return experiments.Fig15ThroughputVsOffload().Render(), nil
 	})
-	run("faults", func() (string, error) {
+	add("faults", func() (string, error) {
 		rep, err := experiments.FaultSweep("vgg16", models.Config{BatchSize: 96}, device.GTX1080Ti, 42)
 		if err != nil {
 			return "", err
 		}
 		return rep.Render(), nil
 	})
-	run("planlat", func() (string, error) {
+	add("planlat", func() (string, error) {
 		rounds := 100
 		if *quick {
 			rounds = 20
@@ -181,7 +180,7 @@ func main() {
 		}
 		return experiments.RenderPlanLat(rows), nil
 	})
-	run("simlat", func() (string, error) {
+	add("simlat", func() (string, error) {
 		rounds := 100
 		if *quick {
 			rounds = 20
@@ -192,14 +191,14 @@ func main() {
 		}
 		return experiments.RenderSimLat(rows), nil
 	})
-	run("serve", func() (string, error) {
+	add("serve", func() (string, error) {
 		rep, err := experiments.ServeLoad(*quick)
 		if err != nil {
 			return "", err
 		}
 		return rep.Render(), nil
 	})
-	run("ablations", func() (string, error) {
+	add("ablations", func() (string, error) {
 		reports, err := experiments.AllAblations()
 		if err != nil {
 			return "", err
@@ -211,4 +210,43 @@ func main() {
 		}
 		return b.String(), nil
 	})
+
+	return runSelected(exps, *exp, os.Stdout, os.Stderr)
+}
+
+// runSelected runs the experiments named in spec (comma-separated ids,
+// or "all") in registration order and returns the exit status: 2 for
+// an unknown id (nothing runs), 1 if any experiment failed, else 0.
+func runSelected(exps []experiment, spec string, stdout, stderr io.Writer) int {
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.id
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.Contains(ids, id) {
+			// Best effort: the exit status carries the failure.
+			_, _ = fmt.Fprintf(stderr, "tsplit-bench: unknown experiment %q; known: all %s\n", id, strings.Join(ids, " "))
+			return 2
+		}
+		want[id] = true
+	}
+	status := 0
+	for _, e := range exps {
+		if !want["all"] && !want[e.id] {
+			continue
+		}
+		start := obs.Wall()
+		out, err := e.run()
+		if err != nil {
+			_, _ = fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
+			status = 1
+			continue
+		}
+		if _, err := fmt.Fprintf(stdout, "===== %s (%.1fs) =====\n%s\n", e.id, obs.Wall().Sub(start).Seconds(), out); err != nil {
+			return 1 // output is gone; running on cannot report anything
+		}
+	}
+	return status
 }

@@ -5,7 +5,7 @@
 // that a planned run reproduces the unconstrained losses exactly while
 // staying under the budget.
 //
-//	tsplit-train -batch 32 -steps 10 -budget 0.6
+//	tsplit-train -batch 32 -steps 10 -budget 0.65
 //
 // With -model it instead plans and simulates a zoo model (vgg16,
 // bert-large, ...) on a Titan RTX. Either mode exports observability

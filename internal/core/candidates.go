@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"tsplit/internal/graph"
 	"tsplit/internal/tensor"
 )
@@ -87,55 +85,20 @@ func splitAxis(op *graph.Op, dim tensor.SplitDim) int {
 	return op.Outputs[0].Shape.Rank() - 1 // hidden axis of matmul
 }
 
-// uses returns the schedule indices of t's consumers, ascending.
-func uses(t *graph.Tensor, sched *graph.Schedule) []int {
-	idx := make([]int, 0, len(t.Consumers))
+// appendUses appends the schedule indices of t's consumers to dst,
+// sorting the appended run ascending.
+func appendUses(dst []int, t *graph.Tensor, sched *graph.Schedule) []int {
+	base := len(dst)
 	for _, c := range t.Consumers {
-		idx = append(idx, sched.Index[c])
+		dst = append(dst, sched.Pos[c.ID])
 	}
+	idx := dst[base:]
 	for i := 1; i < len(idx); i++ { // insertion sort; consumer lists are short
 		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	return idx
-}
-
-// RecomputeChain returns the forward operators that must re-execute to
-// rebuild t, in execution order, walking producers until every leaf
-// input satisfies avail. maxLen bounds the chain (beyond it recompute
-// is not a sensible candidate and an error is returned).
-func RecomputeChain(t *graph.Tensor, avail func(*graph.Tensor) bool, maxLen int) ([]*graph.Op, error) {
-	var chain []*graph.Op
-	visited := make(map[*graph.Op]bool)
-	var walk func(x *graph.Tensor) error
-	walk = func(x *graph.Tensor) error {
-		p := x.Producer
-		if p == nil {
-			return fmt.Errorf("core: recompute source %s has no producer and is not available", x.Name)
-		}
-		if visited[p] {
-			return nil
-		}
-		visited[p] = true
-		if len(visited) > maxLen {
-			return fmt.Errorf("core: recompute chain for %s exceeds %d ops", t.Name, maxLen)
-		}
-		for _, in := range p.Inputs {
-			if avail(in) {
-				continue
-			}
-			if err := walk(in); err != nil {
-				return err
-			}
-		}
-		chain = append(chain, p)
-		return nil
-	}
-	if err := walk(t); err != nil {
-		return nil, err
-	}
-	return chain, nil
+	return dst
 }
 
 // chainTransientBytes estimates the extra device memory a

@@ -96,7 +96,7 @@ type evictHot struct {
 
 type candIndex struct {
 	pl     *Planner
-	nT     int // tensor ID space (maxTensorID+1)
+	nT     int // tensor ID space (len(G.Tensors))
 	n      int // schedule length
 	active bool
 	i      int // bottleneck the window state currently reflects
@@ -148,7 +148,7 @@ type candIndex struct {
 }
 
 func newCandIndex(pl *Planner) *candIndex {
-	nT := pl.maxTensorID + 1
+	nT := len(pl.G.Tensors)
 	n := len(pl.Sched.Ops)
 	ci := &candIndex{
 		pl: pl, nT: nT, n: n,
@@ -172,7 +172,7 @@ func newCandIndex(pl *Planner) *candIndex {
 		h.size = t.Bytes()
 		h.sizeF = float64(h.size)
 		h.transfer = pl.Prof.TransferTime(h.size)
-		g := pl.genOf[t.ID]
+		g := pl.Lv.FirstUse[t.ID]
 		if g < 0 {
 			g = 0
 		}
@@ -201,7 +201,7 @@ func (ci *candIndex) buildEvents() {
 		if ci.never[t.ID] {
 			continue
 		}
-		addAt(pl.genOf[t.ID]+1, count)
+		addAt(pl.Lv.FirstUse[t.ID]+1, count)
 		for _, u := range pl.usesOf[t.ID] {
 			addAt(u, count)
 			addAt(u+1, count)
@@ -227,7 +227,7 @@ func (ci *candIndex) buildEvents() {
 			ci.evIDs[cursor[p]] = int32(t.ID)
 			cursor[p]++
 		}
-		addAt(pl.genOf[t.ID]+1, put)
+		addAt(pl.Lv.FirstUse[t.ID]+1, put)
 		for _, u := range pl.usesOf[t.ID] {
 			addAt(u, put)
 			addAt(u+1, put)
@@ -529,9 +529,9 @@ func (ci *candIndex) refreshCandChains() {
 		pl.touchScratch = pl.touchScratch[:0]
 		t := pl.G.Tensors[id]
 		h := &ci.hot[id]
-		chain, err := pl.walker.walk(t, availQuery{pl, int(h.restoreAt)}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+		chain, ok := pl.walkChain(t, int(h.restoreAt), pl.Opts.MaxRecomputeChain, &pl.touchScratch)
 		ci.registerDeps(int32(id), pl.touchScratch)
-		if err != nil {
+		if !ok {
 			h.chainOK = false
 			continue
 		}
@@ -809,7 +809,7 @@ func (ci *candIndex) buildPos(p int) {
 				if t.Shape.Rank() < 1 || t.Shape[0] != op.Outputs[0].Shape[0] {
 					continue
 				}
-				if pl.lastOf[t.ID] != p {
+				if pl.Lv.LastUse[t.ID] != p {
 					continue
 				}
 				micro = append(micro, t)
@@ -898,19 +898,19 @@ func (ci *candIndex) buildCfg(op *graph.Op, p int, in, out *graph.Tensor, dim te
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, p)
 		if restoreAt >= 0 {
 			pl.touchScratch = pl.touchScratch[:0]
-			chain, err := pl.walker.walk(in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
+			chain, ok := pl.walkChain(in, restoreAt, pl.Opts.MaxRecomputeChain, &pl.touchScratch)
 			// The viability verdict depends on the availability answers
 			// queried up to the success or abort point: register them
 			// either way so any change rebuilds this position.
 			ci.registerDeps(int32(ci.nT+p), pl.touchScratch)
-			if err != nil {
+			if !ok {
 				return splitCfg{}, false
 			}
 			deltaT += pl.chainCostFast(chain) * float64(pl.backwardUsesFast(in, restoreAt))
 		}
 	}
 
-	gen := pl.genOf[in.ID]
+	gen := pl.Lv.FirstUse[in.ID]
 	if gen < 0 {
 		gen = 0
 	}

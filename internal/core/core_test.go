@@ -191,7 +191,7 @@ func TestPlanDecisionsAreConsistent(t *testing.T) {
 		}
 		// Eviction must not orphan a use inside the gap.
 		for _, c := range tp.Tensor.Consumers {
-			u := tb.sched.Index[c]
+			u := tb.sched.Pos[c.ID]
 			if u > tp.EvictAt && tp.RestoreAt >= 0 && u < tp.RestoreAt {
 				t.Fatalf("%s consumer at %d falls inside eviction gap (%d, %d)", tp.Tensor.Name, u, tp.EvictAt, tp.RestoreAt)
 			}
@@ -220,33 +220,6 @@ func TestPlanCountsAndDescribe(t *testing.T) {
 	}
 	if p.Describe() == "" || p.String() == "" {
 		t.Fatal("empty rendering")
-	}
-}
-
-func TestRecomputeChain(t *testing.T) {
-	g := graph.New()
-	x := g.Input("x", tensor.NewShape(2, 4), tensor.Float32)
-	a := g.ReLU("a", x)
-	b := g.ReLU("b", a)
-	c := g.ReLU("c", b)
-	avail := func(tt *graph.Tensor) bool { return tt == x }
-	chain, err := RecomputeChain(c, avail, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chain) != 3 {
-		t.Fatalf("chain length %d", len(chain))
-	}
-	if chain[0] != a.Producer || chain[2] != c.Producer {
-		t.Fatal("chain out of order")
-	}
-	// Bounded length.
-	if _, err := RecomputeChain(c, avail, 2); err == nil {
-		t.Fatal("chain over maxLen should fail")
-	}
-	// Unavailable source.
-	if _, err := RecomputeChain(c, func(*graph.Tensor) bool { return false }, 10); err == nil {
-		t.Fatal("unavailable source should fail")
 	}
 }
 

@@ -34,18 +34,18 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	sort.Ints(ids)
 	sort.SliceStable(ids, func(a, b int) bool {
 		ta, tb := plan.Tensors[ids[a]].Tensor, plan.Tensors[ids[b]].Tensor
-		return lv.FirstUse[ta] < lv.FirstUse[tb]
+		return lv.FirstUse[ta.ID] < lv.FirstUse[tb.ID]
 	})
 
+	var points []int
 	for _, id := range ids {
 		tp := plan.Tensors[id]
 		t := tp.Tensor
-		points := uses(t, sched)
-		prod := lv.FirstUse[t]
+		prod := lv.FirstUse[t.ID]
 		if prod < 0 {
 			prod = 0
 		}
-		points = append([]int{prod}, points...)
+		points = appendUses(append(points[:0], prod), t, sched)
 
 		evictAt, restoreAt, gap := -1, -1, 0
 		for k := 0; k+1 < len(points); k++ {
@@ -93,23 +93,33 @@ func FinalizeWindows(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness, 
 	// plan.ChainTransients. (The TSPLIT planner instead maintains
 	// per-tensor ChainBytes estimates for the shallow chains it creates.)
 	var chainT []int64
+	var walker graph.ChainWalker
+	var chain []*graph.Op
+	// recEvict[x.ID]-1 is the eviction index of a recompute decision on
+	// x (0: x is not recomputed), so the walks' predicate reads no map.
+	recEvict := make([]int, len(g.Tensors))
+	for _, id := range ids {
+		if tp, ok := plan.Tensors[id]; ok && tp.Opt == Recompute {
+			recEvict[id] = tp.EvictAt + 1
+		}
+	}
 	for _, id := range ids {
 		tp, ok := plan.Tensors[id]
 		if !ok || tp.Opt != Recompute || tp.ChainBytes > 0 {
 			continue
 		}
 		for _, c := range tp.Tensor.Consumers {
-			u := sched.Index[c]
+			u := sched.Pos[c.ID]
 			if u < tp.RestoreAt {
 				continue
 			}
-			chain, err := RecomputeChain(tp.Tensor, func(x *graph.Tensor) bool {
-				if xp, planned := plan.Tensors[x.ID]; planned && xp.Opt == Recompute {
-					return xp.EvictAt >= u
+			chain, ok = walker.Walk(chain[:0], tp.Tensor, func(x *graph.Tensor) bool {
+				if e := recEvict[x.ID]; e > 0 {
+					return e-1 >= u
 				}
-				return lv.LastUse[x] < 0 || lv.LastUse[x] >= u
+				return lv.LastUse[x.ID] < 0 || lv.LastUse[x.ID] >= u
 			}, len(g.Ops))
-			if err != nil {
+			if !ok {
 				continue // the verifier reports unrecoverable chains
 			}
 			var sum, ws int64

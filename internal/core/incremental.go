@@ -1,11 +1,9 @@
 package core
 
 import (
-	"errors"
 	"sort"
 
 	"tsplit/internal/graph"
-	"tsplit/internal/tensor"
 )
 
 // This file holds the planner's incremental machinery: a memory curve
@@ -94,7 +92,7 @@ type memCurve struct {
 // newMemCurve builds the curve for the plan's current state (normally
 // the empty plan at the top of Planner.Plan) in one full pass — the
 // only full pass the incremental path ever performs.
-func newMemCurve(ms *MemSim, p *Plan, maxTensorID int) *memCurve {
+func newMemCurve(ms *MemSim, p *Plan, nT int) *memCurve {
 	n := len(ms.Sched.Ops)
 	nBlocks := (n + (1 << curveBlockShift) - 1) >> curveBlockShift
 	c := &memCurve{
@@ -103,8 +101,8 @@ func newMemCurve(ms *MemSim, p *Plan, maxTensorID int) *memCurve {
 		blockAdd:    make([]int64, nBlocks),
 		rawMax:      make([]int64, nBlocks),
 		adj:         make([]int64, n),
-		applied:     make([][]span, maxTensorID+1),
-		changedMark: make([]bool, maxTensorID+1),
+		applied:     make([][]span, nT),
+		changedMark: make([]bool, nT),
 	}
 	for i, op := range ms.Sched.Ops {
 		c.adj[i] = ms.opFootprintAdjustment(op, p)
@@ -243,7 +241,7 @@ func (c *memCurve) contributionsInto(t *graph.Tensor, buf []span) []span {
 	}
 	if ok && tp.Opt == Recompute && tp.ChainBytes > 0 {
 		for _, cons := range t.Consumers {
-			if u := c.ms.opPos[cons.ID]; u >= tp.RestoreAt {
+			if u := c.ms.Sched.Pos[cons.ID]; u >= tp.RestoreAt {
 				buf = append(buf, span{u, u, tp.ChainBytes})
 			}
 		}
@@ -393,11 +391,11 @@ type chainTracker struct {
 	dirtyList []int32
 }
 
-func newChainTracker(maxTensorID int) *chainTracker {
+func newChainTracker(nT int) *chainTracker {
 	return &chainTracker{
-		isOwner: make([]bool, maxTensorID+1),
-		depsOf:  make([][]int32, maxTensorID+1),
-		dirty:   make([]bool, maxTensorID+1),
+		isOwner: make([]bool, nT),
+		depsOf:  make([][]int32, nT),
+		dirty:   make([]bool, nT),
 	}
 }
 
@@ -488,109 +486,6 @@ func sortDedupIDs(ids *[]int32) {
 	*ids = s[:w]
 }
 
-// availQuery is the allocation-free equivalent of availFn: the
-// availability predicate for recompute chains under plan p at backward
-// index r, answering from the planner's ID-indexed liveness arrays.
-type availQuery struct {
-	pl *Planner
-	r  int
-}
-
-func (q availQuery) ok(t *graph.Tensor) bool {
-	pl := q.pl
-	switch t.Kind {
-	case tensor.Parameter, tensor.OptState:
-		return !pl.plan.ShardParams
-	case tensor.Input:
-		if pl.tpSet[t.ID] {
-			if tp := &pl.tpMirror[t.ID]; tp.Opt != Reside {
-				return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= q.r
-			}
-		}
-		return true
-	case tensor.FeatureMap:
-		if !pl.tpSet[t.ID] || pl.tpMirror[t.ID].Opt == Reside {
-			return pl.genOf[t.ID] <= q.r && q.r <= pl.lastOf[t.ID]
-		}
-		// A micro-restored tensor only ever returns in fragments
-		// streamed into its split consumer; chains may not pull it
-		// back whole.
-		tp := &pl.tpMirror[t.ID]
-		return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= q.r && q.r <= pl.lastOf[t.ID]
-	default:
-		return false
-	}
-}
-
-// Walk failures are sentinel errors: scoring probes thousands of
-// infeasible chains per plan and a formatted error per probe would
-// dominate the allocation budget. The outcome is only ever used as a
-// feasibility verdict, never surfaced to callers.
-var (
-	errChainNoProducer = errors.New("core: recompute source has no producer and is not available")
-	errChainTooLong    = errors.New("core: recompute chain exceeds the op limit")
-)
-
-// chainWalker is a reusable-scratch implementation of RecomputeChain.
-// The visited set is an epoch-stamped array indexed by op ID and the
-// chain slice is recycled, so a walk allocates nothing; scoring runs
-// hundreds of thousands of walks per plan.
-type chainWalker struct {
-	seen  []int
-	epoch int
-	chain []*graph.Op
-	count int
-}
-
-func newChainWalker(maxOpID int) *chainWalker {
-	return &chainWalker{seen: make([]int, maxOpID+1)}
-}
-
-// walk mirrors RecomputeChain exactly: producers are walked
-// depth-first in input order until every leaf satisfies q, the chain
-// is returned in execution order, and exceeding maxLen distinct ops is
-// an error. When touched is non-nil, the ID of every tensor whose
-// availability was queried is appended to it (possibly with
-// duplicates) — the dependency set of the derivation. The returned
-// slice is valid until the next walk.
-func (w *chainWalker) walk(t *graph.Tensor, q availQuery, maxLen int, touched *[]int32) ([]*graph.Op, error) {
-	w.epoch++
-	w.chain = w.chain[:0]
-	w.count = 0
-	if err := w.visit(t, t, q, maxLen, touched); err != nil {
-		return nil, err
-	}
-	return w.chain, nil
-}
-
-func (w *chainWalker) visit(x, target *graph.Tensor, q availQuery, maxLen int, touched *[]int32) error {
-	p := x.Producer
-	if p == nil {
-		return errChainNoProducer
-	}
-	if w.seen[p.ID] == w.epoch {
-		return nil
-	}
-	w.seen[p.ID] = w.epoch
-	w.count++
-	if w.count > maxLen {
-		return errChainTooLong
-	}
-	for _, in := range p.Inputs {
-		if touched != nil {
-			*touched = append(*touched, int32(in.ID))
-		}
-		if q.ok(in) {
-			continue
-		}
-		if err := w.visit(in, target, q, maxLen, touched); err != nil {
-			return err
-		}
-	}
-	w.chain = append(w.chain, p)
-	return nil
-}
-
 // planDelta lists the tensors and ops whose plan entries a committed
 // candidate changed — the exact set the incremental structures must
 // re-apply. The backing arrays live on the planner and are reused.
@@ -618,9 +513,9 @@ func (pl *Planner) noteChanges(d planDelta) {
 		}
 	}
 	for _, op := range d.ops {
-		pl.curve.setAdj(pl.opIdx[op.ID], pl.ms.opFootprintAdjustment(op, pl.plan))
+		pl.curve.setAdj(pl.Sched.Pos[op.ID], pl.ms.opFootprintAdjustment(op, pl.plan))
 		if pl.ci != nil && pl.ci.active {
-			pl.ci.noteSplitChanged(pl.opIdx[op.ID])
+			pl.ci.noteSplitChanged(pl.Sched.Pos[op.ID])
 		}
 	}
 }
@@ -656,9 +551,9 @@ func (pl *Planner) refreshChainsDirty() int {
 		tp := pl.tpMirror[id]
 		rederived++
 		pl.touchScratch = pl.touchScratch[:0]
-		chain, err := pl.walker.walk(tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), &pl.touchScratch)
+		chain, ok := pl.walkChain(tp.Tensor, tp.RestoreAt, len(pl.G.Ops), &pl.touchScratch)
 		ct.setDeps(id, pl.touchScratch)
-		if err != nil {
+		if !ok {
 			continue // as refreshChains: keep the last estimate
 		}
 		if nb := chainTransientBytes(chain, tp.Tensor); nb != tp.ChainBytes {

@@ -20,13 +20,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 		tb := newTestbed(t, model, models.Config{BatchSize: 8})
 		ms := NewMemSim(tb.g, tb.sched, tb.lv)
 		plan := NewPlan("prop", tb.dev)
-		maxID := 0
-		for _, x := range tb.g.Tensors {
-			if x.ID > maxID {
-				maxID = x.ID
-			}
-		}
-		curve := newMemCurve(ms, plan, maxID)
+		curve := newMemCurve(ms, plan, len(tb.g.Tensors))
 		rng := rand.New(rand.NewSource(42))
 
 		check := func(step int) {
@@ -45,7 +39,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 		check(-1)
 
 		randomUse := func(x *graph.Tensor) (int, bool) {
-			us := uses(x, tb.sched)
+			us := appendUses(nil, x, tb.sched)
 			if len(us) == 0 {
 				return 0, false
 			}
@@ -66,7 +60,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					opt = Recompute
 				}
-				tp := TensorPlan{Tensor: x, Opt: opt, EvictAt: tb.lv.FirstUse[x], RestoreAt: r, PrefetchAt: r}
+				tp := TensorPlan{Tensor: x, Opt: opt, EvictAt: tb.lv.FirstUse[x.ID], RestoreAt: r, PrefetchAt: r}
 				if opt == Swap && rng.Intn(2) == 0 && r > 0 {
 					tp.PrefetchAt = rng.Intn(r)
 				}
@@ -96,7 +90,7 @@ func TestIncrementalCurveMatchesFullRebuild(t *testing.T) {
 					continue
 				}
 				plan.Splits[op.ID] = OpSplit{Op: op, PNum: []int{2, 4, 8}[rng.Intn(3)], Dim: dim, InOpt: []MemOpt{Reside, Swap, Recompute}[rng.Intn(3)]}
-				curve.setAdj(tb.sched.Index[op], ms.opFootprintAdjustment(op, plan))
+				curve.setAdj(tb.sched.Pos[op.ID], ms.opFootprintAdjustment(op, plan))
 			case 4: // revert a random decision
 				for id, tp := range plan.Tensors {
 					delete(plan.Tensors, id)
@@ -124,13 +118,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 			tb := newTestbed(t, model, models.Config{BatchSize: 8})
 			ms := NewMemSim(tb.g, tb.sched, tb.lv)
 			plan := NewPlan("prop", tb.dev)
-			maxID := 0
-			for _, x := range tb.g.Tensors {
-				if x.ID > maxID {
-					maxID = x.ID
-				}
-			}
-			curve := newMemCurve(ms, plan, maxID)
+			curve := newMemCurve(ms, plan, len(tb.g.Tensors))
 			_, basePeak, _ := ms.Curve(plan)
 			cap := basePeak * capPct / 100
 			rng := rand.New(rand.NewSource(7))
@@ -165,7 +153,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 					if _, planned := plan.Tensors[x.ID]; planned || !x.Kind.Evictable() {
 						continue
 					}
-					us := uses(x, tb.sched)
+					us := appendUses(nil, x, tb.sched)
 					if len(us) == 0 {
 						continue
 					}
@@ -174,7 +162,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						opt = Recompute
 					}
-					tp := TensorPlan{Tensor: x, Opt: opt, EvictAt: tb.lv.FirstUse[x], RestoreAt: r, PrefetchAt: r}
+					tp := TensorPlan{Tensor: x, Opt: opt, EvictAt: tb.lv.FirstUse[x.ID], RestoreAt: r, PrefetchAt: r}
 					if tp.EvictAt < 0 {
 						tp.EvictAt = 0
 					}
@@ -186,7 +174,7 @@ func TestBottleneckResumeMatchesFullScan(t *testing.T) {
 						continue
 					}
 					plan.Splits[op.ID] = OpSplit{Op: op, PNum: []int{2, 4}[rng.Intn(2)], Dim: tensor.DimSample, InOpt: Reside}
-					curve.setAdj(tb.sched.Index[op], ms.opFootprintAdjustment(op, plan))
+					curve.setAdj(tb.sched.Pos[op.ID], ms.opFootprintAdjustment(op, plan))
 				case 3: // revert a random decision (memory increases again)
 					for id, tp := range plan.Tensors {
 						delete(plan.Tensors, id)

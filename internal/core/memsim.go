@@ -13,41 +13,11 @@ type MemSim struct {
 	G     *graph.Graph
 	Sched *graph.Schedule
 	Lv    *graph.Liveness
-	// ID-indexed mirrors of Lv.FirstUse/Lv.LastUse/Sched.Index: the
-	// residency derivation runs once per tensor per committed decision
-	// on the incremental planner's hot path, and the pointer-keyed map
-	// lookups dominate it.
-	firstOf []int
-	lastOf  []int
-	opPos   []int
 }
 
 // NewMemSim builds the simulator from a graph and its schedule.
 func NewMemSim(g *graph.Graph, sched *graph.Schedule, lv *graph.Liveness) *MemSim {
-	ms := &MemSim{G: g, Sched: sched, Lv: lv}
-	maxT, maxO := 0, 0
-	for _, t := range g.Tensors {
-		if t.ID > maxT {
-			maxT = t.ID
-		}
-	}
-	for _, op := range g.Ops {
-		if op.ID > maxO {
-			maxO = op.ID
-		}
-	}
-	ms.firstOf = make([]int, maxT+1)
-	ms.lastOf = make([]int, maxT+1)
-	for _, t := range g.Tensors {
-		ms.firstOf[t.ID] = lv.FirstUse[t]
-		ms.lastOf[t.ID] = lv.LastUse[t]
-	}
-	ms.opPos = make([]int, maxO+1)
-	//lint:allow maporder — each op writes its own slot; order cannot matter
-	for op, i := range sched.Index {
-		ms.opPos[op.ID] = i
-	}
-	return ms
+	return &MemSim{G: g, Sched: sched, Lv: lv}
 }
 
 // span is one device-residency interval of a tensor with the bytes it
@@ -71,8 +41,8 @@ func (ms *MemSim) residency(t *graph.Tensor, p *Plan) []span {
 // planner's tpMirror) — it must answer exactly what p.Tensors holds.
 func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (TensorPlan, bool), buf []span) []span {
 	n := len(ms.Sched.Ops)
-	first := ms.firstOf[t.ID]
-	last := ms.lastOf[t.ID]
+	first := ms.Lv.FirstUse[t.ID]
+	last := ms.Lv.LastUse[t.ID]
 	if first == -1 {
 		first = 0
 		last = n - 1
@@ -89,7 +59,7 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 	case tensor.ParamGrad:
 		if p.OffloadOptimizer {
 			// Streamed to host as soon as produced.
-			prod := ms.firstOf[t.ID]
+			prod := ms.Lv.FirstUse[t.ID]
 			if prod >= 0 {
 				return append(buf, span{prod, prod, b})
 			}
@@ -100,7 +70,7 @@ func (ms *MemSim) residencyInto(t *graph.Tensor, p *Plan, look func(id int) (Ten
 			// Staged in right before each consumer and evicted after.
 			base := len(buf)
 			for _, c := range t.Consumers {
-				i := ms.opPos[c.ID]
+				i := ms.Sched.Pos[c.ID]
 				a := i - 1
 				if a < 0 {
 					a = 0
@@ -164,7 +134,7 @@ func (ms *MemSim) Curve(p *Plan) (memAt []int64, peak int64, peakIdx int) {
 			// Each backward consumer re-runs the chain; its transient
 			// intermediates occupy the device at that point.
 			for _, c := range t.Consumers {
-				if u := ms.opPos[c.ID]; u >= tp.RestoreAt {
+				if u := ms.Sched.Pos[c.ID]; u >= tp.RestoreAt {
 					delta[u] += tp.ChainBytes
 					delta[u+1] -= tp.ChainBytes
 				}

@@ -219,18 +219,15 @@ type Planner struct {
 	// beginRun); the pooled curve may be stale while a serial run is in
 	// flight, so mid-run code must consult this, not Opts.
 	incremental bool
-	// ID-indexed mirrors of the liveness/schedule maps: the scoring
-	// loops run millions of lookups per plan and array indexing is
-	// several times cheaper than map access.
-	genOf  []int   // Lv.FirstUse by tensor ID
-	lastOf []int   // Lv.LastUse by tensor ID
-	usesOf [][]int // sorted consumer schedule indices by tensor ID
-	opIdx  []int   // schedule position by op ID
+	// usesOf[t.ID] lists t's consumer schedule indices, sorted; the
+	// slices share one backing array.
+	usesOf [][]int
 	// cands is the serial path's scoring buffer: one slot per task,
 	// folded in task-index order.
-	cands       []candidate
-	walker      *chainWalker
-	maxTensorID int
+	cands []candidate
+	// walker and chainBuf run every recompute-chain walk (walkChain).
+	walker   graph.ChainWalker
+	chainBuf []*graph.Op
 	// touchScratch collects the tensor IDs a chain walk queried — the
 	// dependency set the chain tracker and candidate index register.
 	touchScratch []int32
@@ -310,37 +307,63 @@ func (pl *Planner) Reset() {
 	pl.report = nil
 }
 
-// initAccel precomputes the ID-indexed lookup arrays and the reusable
-// chain walker.
+// initAccel precomputes the consumer-index lists and sizes the
+// ID-indexed planning arrays.
 func (pl *Planner) initAccel() {
-	maxT, maxO := 0, 0
+	nT := len(pl.G.Tensors)
+	n := 0
 	for _, t := range pl.G.Tensors {
-		if t.ID > maxT {
-			maxT = t.ID
+		n += len(t.Consumers)
+	}
+	flat := make([]int, 0, n)
+	pl.usesOf = make([][]int, nT)
+	for _, t := range pl.G.Tensors {
+		base := len(flat)
+		flat = appendUses(flat, t, pl.Sched)
+		pl.usesOf[t.ID] = flat[base:len(flat):len(flat)]
+	}
+	pl.swapStallOf = make([]float64, nT)
+	pl.tpMirror = make([]TensorPlan, nT)
+	pl.tpSet = make([]bool, nT)
+}
+
+// walkChain finds t's recompute chain under the planner's
+// availability predicate at backward index r, appending the ID of
+// every tensor whose availability it queried to touched when that is
+// non-nil (possibly with duplicates) — the dependency set the chain
+// tracker and candidate index register. The chain is valid until the
+// next walk.
+func (pl *Planner) walkChain(t *graph.Tensor, r, maxLen int, touched *[]int32) ([]*graph.Op, bool) {
+	avail := func(x *graph.Tensor) bool {
+		if touched != nil {
+			*touched = append(*touched, int32(x.ID))
+		}
+		switch x.Kind {
+		case tensor.Parameter, tensor.OptState:
+			return !pl.plan.ShardParams
+		case tensor.Input:
+			if pl.tpSet[x.ID] {
+				if tp := &pl.tpMirror[x.ID]; tp.Opt != Reside {
+					return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= r
+				}
+			}
+			return true
+		case tensor.FeatureMap:
+			if !pl.tpSet[x.ID] || pl.tpMirror[x.ID].Opt == Reside {
+				return pl.Lv.FirstUse[x.ID] <= r && r <= pl.Lv.LastUse[x.ID]
+			}
+			// A micro-restored tensor only ever returns in fragments
+			// streamed into its split consumer; chains may not pull it
+			// back whole.
+			tp := &pl.tpMirror[x.ID]
+			return tp.Opt == Swap && tp.MicroRestore <= 1 && tp.RestoreAt <= r && r <= pl.Lv.LastUse[x.ID]
+		default:
+			return false
 		}
 	}
-	for _, op := range pl.G.Ops {
-		if op.ID > maxO {
-			maxO = op.ID
-		}
-	}
-	pl.maxTensorID = maxT
-	pl.genOf = make([]int, maxT+1)
-	pl.lastOf = make([]int, maxT+1)
-	pl.usesOf = make([][]int, maxT+1)
-	for _, t := range pl.G.Tensors {
-		pl.genOf[t.ID] = pl.Lv.FirstUse[t]
-		pl.lastOf[t.ID] = pl.Lv.LastUse[t]
-		pl.usesOf[t.ID] = uses(t, pl.Sched)
-	}
-	pl.opIdx = make([]int, maxO+1)
-	for i, op := range pl.Sched.Ops {
-		pl.opIdx[op.ID] = i
-	}
-	pl.walker = newChainWalker(maxO)
-	pl.swapStallOf = make([]float64, maxT+1)
-	pl.tpMirror = make([]TensorPlan, maxT+1)
-	pl.tpSet = make([]bool, maxT+1)
+	var ok bool
+	pl.chainBuf, ok = pl.walker.Walk(pl.chainBuf[:0], t, avail, maxLen)
+	return pl.chainBuf, ok
 }
 
 // putTensorPlan commits a tensor's plan entry to both the plan map and
@@ -474,12 +497,12 @@ func (pl *Planner) beginRun() {
 	pl.jCur.begin(pl.Opts, pl.incremental)
 	if pl.incremental {
 		if pl.curve == nil {
-			pl.curve = newMemCurve(pl.ms, pl.plan, pl.maxTensorID)
+			pl.curve = newMemCurve(pl.ms, pl.plan, len(pl.G.Tensors))
 			// Route the curve's plan-entry reads through the tpMirror
 			// arrays: same answers as plan.Tensors, no map hashing on
 			// the span re-derivation hot path.
 			pl.curve.look = pl.tensorPlanByID
-			pl.ct = newChainTracker(pl.maxTensorID)
+			pl.ct = newChainTracker(len(pl.G.Tensors))
 			pl.ci = newCandIndex(pl)
 		} else {
 			pl.curve.reset(pl.plan)
@@ -775,8 +798,8 @@ func (pl *Planner) refreshChains() int {
 			continue
 		}
 		n++
-		chain, err := pl.walker.walk(tp.Tensor, availQuery{pl, tp.RestoreAt}, len(pl.G.Ops), nil)
-		if err != nil {
+		chain, ok := pl.walkChain(tp.Tensor, tp.RestoreAt, len(pl.G.Ops), nil)
+		if !ok {
 			continue
 		}
 		tp.ChainBytes = chainTransientBytes(chain, tp.Tensor)
@@ -845,9 +868,9 @@ func (pl *Planner) bestCandidate(i int) (*candidate, int) {
 	cands := pl.cands[:total]
 	for k := 0; k < total; k++ {
 		if k < nT {
-			pl.scoreEvictInto(pl.G.Tensors[k], i, &cands[k], pl.walker)
+			pl.scoreEvictInto(pl.G.Tensors[k], i, &cands[k])
 		} else {
-			pl.scoreSplitInto(i+(k-nT), &cands[k], pl.walker)
+			pl.scoreSplitInto(i+(k-nT), &cands[k])
 		}
 	}
 	var best *candidate
@@ -866,7 +889,7 @@ func (pl *Planner) bestCandidate(i int) (*candidate, int) {
 // scoreEvictInto scores swap vs recompute for one live tensor at
 // bottleneck i (paper Eqs. 2-5) into c, leaving c invalid when t is
 // not a candidate.
-func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chainWalker) {
+func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate) {
 	c.valid = false
 	if !t.Kind.Evictable() {
 		return
@@ -893,7 +916,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chai
 	recompT := math.Inf(1)
 	var chainBytes int64
 	if t.Kind == tensor.FeatureMap && !pl.Opts.DisableRecompute {
-		if chain, err := wk.walk(t, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil); err == nil {
+		if chain, ok := pl.walkChain(t, restoreAt, pl.Opts.MaxRecomputeChain, nil); ok {
 			recompT = pl.chainCostFast(chain) * float64(pl.backwardUsesFast(t, restoreAt))
 			chainBytes = chainTransientBytes(chain, t)
 		}
@@ -910,7 +933,7 @@ func (pl *Planner) scoreEvictInto(t *graph.Tensor, i int, c *candidate, wk *chai
 	if opt == Recompute && swapT <= 4*recompT+1e-6 && pl.microRestorable(t, restoreAt) {
 		opt, dT = Swap, swapT
 	}
-	gen := pl.genOf[t.ID]
+	gen := pl.Lv.FirstUse[t.ID]
 	if gen < 0 {
 		gen = 0
 	}
@@ -1034,7 +1057,7 @@ func (pl *Planner) applySplit(c *candidate) planDelta {
 // it back in micro-tensors: the consumer is sample-splittable, shares
 // the batch axis, and is t's final use.
 func (pl *Planner) microRestorable(t *graph.Tensor, restoreAt int) bool {
-	if pl.Opts.DisableSplit || pl.lastOf[t.ID] != restoreAt {
+	if pl.Opts.DisableSplit || pl.Lv.LastUse[t.ID] != restoreAt {
 		return false
 	}
 	op := pl.Sched.Ops[restoreAt]
@@ -1055,7 +1078,7 @@ var (
 // Eq. 6), searching p_num and the split dimension, into c. An operator
 // that is already split may be upgraded to a larger p_num with the
 // same dimension and input option when the bottleneck persists.
-func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *chainWalker) {
+func (pl *Planner) scoreSplitInto(j int, c *candidate) {
 	c.valid = false
 	op := pl.Sched.Ops[j]
 	cur, has := pl.plan.Splits[op.ID]
@@ -1088,7 +1111,7 @@ func (pl *Planner) scoreSplitInto(j int, c *candidate, wk *chainWalker) {
 				continue
 			}
 			for _, inOpt := range inOpts {
-				if pl.scoreSplitConfigInto(op, j, in, out, dim, pnum, inOpt, has, &cur, &tmp, wk) && pl.better(&tmp, best) {
+				if pl.scoreSplitConfigInto(op, j, in, out, dim, pnum, inOpt, has, &cur, &tmp) && pl.better(&tmp, best) {
 					*c = tmp
 					best = c
 				}
@@ -1134,7 +1157,7 @@ func (pl *Planner) splitInOpts(in *graph.Tensor, dim tensor.SplitDim, i int) []M
 		return inOptsReside
 	}
 	for _, c := range in.Consumers {
-		if u := pl.opIdx[c.ID]; u > i && c.Phase == graph.Forward {
+		if u := pl.Sched.Pos[c.ID]; u > i && c.Phase == graph.Forward {
 			return inOptsReside // still needed whole in the forward pass
 		}
 	}
@@ -1155,7 +1178,7 @@ func (pl *Planner) splitInOpts(in *graph.Tensor, dim tensor.SplitDim, i int) []M
 // configuration into c, measuring ΔM relative to the op's current
 // (possibly already split) footprint. It reports whether the
 // configuration is a viable candidate.
-func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, cur *OpSplit, c *candidate, wk *chainWalker) bool {
+func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tensor, dim tensor.SplitDim, pnum int, inOpt MemOpt, has bool, cur *OpSplit, c *candidate) bool {
 	inB, outB := in.Bytes(), out.Bytes()
 	in2 := pl.carvableSecondInput(op, in, out, dim, i)
 
@@ -1181,7 +1204,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 			if t.Shape.Rank() < 1 || t.Shape[0] != op.Outputs[0].Shape[0] {
 				continue
 			}
-			if pl.lastOf[t.ID] != i {
+			if pl.Lv.LastUse[t.ID] != i {
 				continue // another consumer still needs it whole
 			}
 			//lint:allow scratchreuse the serial reference path is not pooled
@@ -1249,8 +1272,8 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 	case inOpt == Recompute:
 		_, restoreAt, _ = pl.evictionWindowAfterFast(in, i)
 		if restoreAt >= 0 {
-			chain, err := wk.walk(in, availQuery{pl, restoreAt}, pl.Opts.MaxRecomputeChain, nil)
-			if err != nil {
+			chain, ok := pl.walkChain(in, restoreAt, pl.Opts.MaxRecomputeChain, nil)
+			if !ok {
 				return false
 			}
 			deltaT += pl.chainCostFast(chain) * float64(pl.backwardUsesFast(in, restoreAt))
@@ -1259,7 +1282,7 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 		// simply freed as consumed, no regeneration ever needed.
 	}
 
-	gen := pl.genOf[in.ID]
+	gen := pl.Lv.FirstUse[in.ID]
 	if gen < 0 {
 		gen = 0
 	}
@@ -1283,9 +1306,10 @@ func (pl *Planner) scoreSplitConfigInto(op *graph.Op, i int, in, out *graph.Tens
 
 // --- ID-indexed fast equivalents of the candidates.go helpers ---
 
-// evictionWindowFast is evictionWindow answering from usesOf/genOf.
+// evictionWindowFast is evictionWindow answering from usesOf and the
+// ID-indexed liveness.
 func (pl *Planner) evictionWindowFast(t *graph.Tensor, i int) (evictAt, restoreAt int, ok bool) {
-	first := pl.genOf[t.ID]
+	first := pl.Lv.FirstUse[t.ID]
 	if first >= i { // not yet produced, or produced at the bottleneck
 		return 0, 0, false
 	}
@@ -1343,7 +1367,7 @@ func (pl *Planner) backwardUsesFast(t *graph.Tensor, restoreAt int) int {
 func (pl *Planner) chainCostFast(chain []*graph.Op) float64 {
 	var s float64
 	for _, op := range chain {
-		s += pl.Prof.T[pl.opIdx[op.ID]]
+		s += pl.Prof.T[pl.Sched.Pos[op.ID]]
 	}
 	return s
 }
@@ -1382,7 +1406,7 @@ func (pl *Planner) earlyOutPass() {
 			continue
 		}
 		_, totalSplit := pl.Prof.Cost.SplitTimes(prod, pnum)
-		pi := pl.opIdx[prod.ID]
+		pi := pl.Sched.Pos[prod.ID]
 		degrade := totalSplit - pl.Prof.T[pi]
 		if degrade < 0 {
 			degrade = 0

@@ -50,6 +50,7 @@ type rewriter struct {
 	agenda map[int][]*graph.Tensor
 	// evictAgenda schedules evictions at their planned positions.
 	evictAgenda map[int][]*graph.Tensor
+	walker      graph.ChainWalker
 }
 
 // Augment materializes the plan over (g, sched) as an augmented graph.
@@ -163,9 +164,9 @@ func (rw *rewriter) insertSwapIn(t *graph.Tensor) {
 // (memory-centric: a fresh chain per restoring consumer).
 func (rw *rewriter) insertRecompute(t *graph.Tensor) error {
 	avail := func(x *graph.Tensor) bool { return rw.cur[x] != nil || rw.host[x] != nil }
-	chain, err := RecomputeChain(t, avail, len(rw.src.Ops))
-	if err != nil {
-		return fmt.Errorf("core: rewrite: %w", err)
+	chain, ok := rw.walker.Walk(nil, t, avail, len(rw.src.Ops))
+	if !ok {
+		return fmt.Errorf("core: rewrite: %w", rw.walker.Err())
 	}
 	anchor := rw.prev
 	// Fresh instances local to this chain so memory-centric retirement

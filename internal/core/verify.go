@@ -169,7 +169,11 @@ func (v *verifier) checkWindows() {
 			continue
 		}
 		name := t.Name
-		first, last := v.lv.FirstUse[t], v.lv.LastUse[t]
+		if !v.g.HasTensor(t) {
+			v.addf("restore-before-use", name, "plan entry's tensor is not a tensor of the graph")
+			continue
+		}
+		first, last := v.lv.FirstUse[t.ID], v.lv.LastUse[t.ID]
 		if tp.EvictAt < 0 || tp.EvictAt >= n {
 			v.addf("restore-before-use", name, "EvictAt %d outside schedule [0,%d)", tp.EvictAt, n)
 			continue
@@ -192,7 +196,7 @@ func (v *verifier) checkWindows() {
 			gapEnd = n // never restored: nothing may use it after eviction
 		}
 		for _, c := range t.Consumers {
-			u := v.sched.Index[c]
+			u := v.sched.Pos[c.ID]
 			if u > tp.EvictAt && u < gapEnd {
 				v.addf("restore-before-use", name,
 					"consumer %s at index %d runs inside the eviction gap (%d, %d)",
@@ -234,7 +238,11 @@ func (v *verifier) checkSplitBalance() {
 		if sp.In2 != nil && !op.HasInput(sp.In2) {
 			v.addf("split-balance", name, "secondary input %s is not an input of the op", sp.In2.Name)
 		}
-		opIdx := v.sched.Index[op]
+		if !v.g.HasOp(op) {
+			v.addf("split-balance", name, "split op is not an op of the graph")
+			continue
+		}
+		opIdx := v.sched.Pos[op.ID]
 		for _, t := range sp.MicroIns {
 			if !op.HasInput(t) {
 				v.addf("split-balance", name, "micro-restored %s is not an input of the op", t.Name)
@@ -283,8 +291,8 @@ func (v *verifier) checkRecomputeChains() {
 	onStack := map[int]bool{} // op IDs on the current DFS path
 	for _, id := range v.tensorIDs() {
 		tp := v.p.Tensors[id]
-		if tp.Opt != Recompute || tp.Tensor == nil {
-			continue
+		if tp.Opt != Recompute || tp.Tensor == nil || !v.g.HasTensor(tp.Tensor) {
+			continue // checkWindows reports foreign tensors
 		}
 		count := 0
 		// resolved memoizes op IDs already validated at this restore
@@ -292,14 +300,14 @@ func (v *verifier) checkRecomputeChains() {
 		// (inception cells, residual blocks), and an unmemoized walk
 		// revisits the shared prefix once per path — exponentially.
 		resolved := map[int]bool{}
-		v.walkChain(tp.Tensor, tp.Tensor, tp.RestoreAt, onStack, resolved, &count)
+		v.checkChain(tp.Tensor, tp.Tensor, tp.RestoreAt, onStack, resolved, &count)
 	}
 }
 
-// walkChain recursively validates that x can be materialized at
+// checkChain recursively validates that x can be materialized at
 // backward index r while regenerating target. Violations are recorded
 // rather than returned so one broken chain reports every defect.
-func (v *verifier) walkChain(x, target *graph.Tensor, r int, onStack, resolved map[int]bool, count *int) {
+func (v *verifier) checkChain(x, target *graph.Tensor, r int, onStack, resolved map[int]bool, count *int) {
 	p := x.Producer
 	if p == nil {
 		v.addf("recompute-chain", target.Name,
@@ -324,7 +332,7 @@ func (v *verifier) walkChain(x, target *graph.Tensor, r int, onStack, resolved m
 		if v.availableAt(in, r) {
 			continue
 		}
-		v.walkChain(in, target, r, onStack, resolved, count)
+		v.checkChain(in, target, r, onStack, resolved, count)
 	}
 	delete(onStack, p.ID)
 	resolved[p.ID] = true
@@ -333,7 +341,7 @@ func (v *verifier) walkChain(x, target *graph.Tensor, r int, onStack, resolved m
 // availableAt reports whether tensor t is *recoverable* at backward
 // index r without re-running its producer: on device, on host (swap or
 // staged), or permanently resident. This is deliberately looser than
-// the planner's cost predicate (availQuery.ok), which also rejects
+// the planner's cost predicate (Planner.walkChain), which also rejects
 // recoverable-but-expensive sources — the verifier checks safety, not
 // optimality: a chain is only broken when a dependency is irrecoverably
 // gone.
@@ -346,12 +354,12 @@ func (v *verifier) availableAt(t *graph.Tensor, r int) bool {
 	case tensor.FeatureMap:
 		tp, ok := v.p.Tensors[t.ID]
 		if !ok || tp.Opt == Reside {
-			return v.lv.FirstUse[t] <= r && r <= v.lv.LastUse[t]
+			return v.lv.FirstUse[t.ID] <= r && r <= v.lv.LastUse[t.ID]
 		}
 		if tp.Opt == Swap {
 			// On device until EvictAt, on host after; the host copy is
 			// released with the tensor's last use.
-			return r <= v.lv.LastUse[t]
+			return r <= v.lv.LastUse[t.ID]
 		}
 		return false // Recompute: regenerate via the caller's recursion
 	default:

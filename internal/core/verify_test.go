@@ -129,9 +129,9 @@ func TestVerifyConsumerInEvictionGap(t *testing.T) {
 			continue
 		}
 		mid := 0
-		first, last := tb.lv.FirstUse[tn], tb.lv.LastUse[tn]
+		first, last := tb.lv.FirstUse[tn.ID], tb.lv.LastUse[tn.ID]
 		for _, c := range tn.Consumers {
-			if u := tb.sched.Index[c]; u > first && u < last {
+			if u := tb.sched.Pos[c.ID]; u > first && u < last {
 				mid++
 			}
 		}
@@ -146,9 +146,9 @@ func TestVerifyConsumerInEvictionGap(t *testing.T) {
 	p := NewPlan("mutated", tb.dev)
 	p.Tensors[victim.ID] = TensorPlan{
 		Tensor: victim, Opt: Swap,
-		EvictAt:    tb.lv.FirstUse[victim],
-		RestoreAt:  tb.lv.LastUse[victim],
-		PrefetchAt: tb.lv.LastUse[victim],
+		EvictAt:    tb.lv.FirstUse[victim.ID],
+		RestoreAt:  tb.lv.LastUse[victim.ID],
+		PrefetchAt: tb.lv.LastUse[victim.ID],
 	}
 	vs := VerifyAt(p, tb.g, tb.sched, tb.lv, 0)
 	requireViolation(t, vs, "restore-before-use")
@@ -224,7 +224,7 @@ func TestVerifyRecomputeChainViolation(t *testing.T) {
 		t.Fatal("model has no staged input tensor")
 	}
 	p := NewPlan("mutated", tb.dev)
-	last := tb.lv.LastUse[input]
+	last := tb.lv.LastUse[input.ID]
 	p.Tensors[input.ID] = TensorPlan{Tensor: input, Opt: Recompute, EvictAt: 0, RestoreAt: last}
 	requireViolation(t, VerifyAt(p, tb.g, tb.sched, tb.lv, 0), "recompute-chain",
 		"restore-before-use")
@@ -273,13 +273,13 @@ func TestVerifyRecomputeCycleViolation(t *testing.T) {
 	opA := g.NewOp("makeA", graph.ReLU, graph.Forward, []*graph.Tensor{tb}, []*graph.Tensor{ta}, graph.Attrs{})
 	opB := g.NewOp("makeB", graph.ReLU, graph.Forward, []*graph.Tensor{ta}, []*graph.Tensor{tb}, graph.Attrs{})
 	sched := &graph.Schedule{
-		Ops:   []*graph.Op{opA, opB},
-		Index: map[*graph.Op]int{opA: 0, opB: 1},
+		Ops: []*graph.Op{opA, opB},
+		Pos: []int{0, 1}, // by op ID: opA, opB
 	}
 	lv := &graph.Liveness{
 		Sched:    sched,
-		FirstUse: map[*graph.Tensor]int{ta: 0, tb: 1},
-		LastUse:  map[*graph.Tensor]int{ta: 1, tb: 1},
+		FirstUse: []int{0, 1}, // by tensor ID: a, b
+		LastUse:  []int{1, 1},
 	}
 	p := NewPlan("cyclic", device.TitanRTX)
 	p.Tensors[ta.ID] = TensorPlan{Tensor: ta, Opt: Recompute, EvictAt: 0, RestoreAt: 1}
@@ -445,5 +445,30 @@ func TestVerifyViolationsSortedAndStringy(t *testing.T) {
 	}
 	if s := vs[0].String(); !strings.Contains(s, "capacity(") {
 		t.Fatalf("String() = %q, want invariant(subject): detail form", s)
+	}
+}
+
+// TestVerifyForeignPlanReportsNotPanics verifies a plan made for one
+// graph against another. Its entries name tensors (and split ops) the
+// graph does not hold, which the ID-indexed liveness cannot answer
+// for: the verifier must report them, not index out of range.
+func TestVerifyForeignPlanReportsNotPanics(t *testing.T) {
+	a := newTestbed(t, "vgg16", models.Config{BatchSize: 64})
+	b := newTestbed(t, "resnet50", models.Config{BatchSize: 8})
+	plan := a.plan(t, Options{Capacity: a.lv.Peak * 50 / 100, FragmentationReserve: -1})
+	if len(plan.Splits) == 0 {
+		t.Fatal("expected a plan with splits")
+	}
+	vs := VerifyAt(plan, b.g, b.sched, b.lv, 0)
+	for _, want := range []string{"not a tensor of the graph", "split op is not an op of the graph"} {
+		found := false
+		for _, v := range vs {
+			if strings.Contains(v.Detail, want) {
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("no %q violation for the foreign plan: %v", want, vs)
+		}
 	}
 }

@@ -136,7 +136,7 @@ func TestScheduleRespectsDependencies(t *testing.T) {
 	}
 	for _, op := range g.Ops {
 		for _, in := range op.Inputs {
-			if p := in.Producer; p != nil && s.Index[p] >= s.Index[op] {
+			if p := in.Producer; p != nil && s.Pos[p.ID] >= s.Pos[op.ID] {
 				t.Fatalf("%s before its producer %s", op, p)
 			}
 		}
@@ -154,7 +154,7 @@ func TestScheduleControlDeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Index[a.Producer] >= s.Index[b.Producer] {
+	if s.Pos[a.Producer.ID] >= s.Pos[b.Producer.ID] {
 		t.Fatal("control dependency not honored")
 	}
 }
@@ -177,7 +177,7 @@ func TestLivenessBasics(t *testing.T) {
 	lv := AnalyzeLiveness(g, s)
 	// Parameters are resident for the whole run.
 	for _, p := range g.Params {
-		if lv.FirstUse[p] != -1 {
+		if lv.FirstUse[p.ID] != -1 {
 			t.Fatalf("param %s not resident", p.Name)
 		}
 		if !lv.LiveAt(p, 0) || !lv.LiveAt(p, len(s.Ops)-1) {
@@ -217,7 +217,7 @@ func TestLivenessActivationSpansToBackward(t *testing.T) {
 	if relu == nil {
 		t.Fatal("fc1.relu.y not found")
 	}
-	if s.Ops[lv.LastUse[relu]].Phase != Backward {
+	if s.Ops[lv.LastUse[relu.ID]].Phase != Backward {
 		t.Fatal("activation should live into the backward pass")
 	}
 }

@@ -149,6 +149,8 @@ type Attrs struct {
 // zero or more operators. It carries metadata only; buffers live in the
 // runtime.
 type Tensor struct {
+	// ID is the tensor's index in its graph's Tensors, assigned by
+	// NewTensor. Liveness and the planner key per-tensor arrays by it.
 	ID    int
 	Name  string
 	Shape tensor.Shape
@@ -187,6 +189,8 @@ func (t *Tensor) String() string {
 
 // Op is a node of the dataflow graph.
 type Op struct {
+	// ID is the op's index in its graph's Ops, assigned by NewOp. The
+	// schedule and the chain walker key per-op arrays by it.
 	ID      int
 	Name    string
 	Kind    OpKind

@@ -31,6 +31,7 @@ var MapOrder = &Analyzer{
 	Packages: []string{
 		"tsplit/internal/core",
 		"tsplit/internal/sim",
+		"tsplit/internal/graph",
 		"tsplit/internal/experiments",
 		"tsplit/internal/obs",
 		"tsplit/internal/serve",

@@ -5,7 +5,8 @@ import (
 )
 
 // ScratchReuse is an advisory rule for the planner's and simulator's
-// steady-state allocation budgets: internal/core's per-iteration
+// steady-state allocation budgets, and for the graph analyses every
+// max-scale probe re-runs: internal/core's per-iteration
 // machinery is pooled (arenas reset in place across Plan() calls —
 // see DESIGN.md §7), and internal/sim's event loop is arena-backed
 // the same way (SimPool recycling — see DESIGN.md's simulator
@@ -30,17 +31,17 @@ import (
 // and carry allows with the reason spelled out.
 var ScratchReuse = &Analyzer{
 	Name:     "scratchreuse",
-	Doc:      "allocation (make / growing append) inside a loop in pooled planner or simulator code",
-	Packages: []string{"tsplit/internal/core", "tsplit/internal/sim"},
+	Doc:      "allocation (make / growing append) inside a loop in pooled planner, simulator or graph-analysis code",
+	Packages: []string{"tsplit/internal/core", "tsplit/internal/sim", "tsplit/internal/graph"},
 	Run:      runScratchReuse,
 }
 
-// scratchFiles are the internal/core and internal/sim files on the
-// pooled hot paths: a Plan()/Replan() call or a pooled simulation
-// spends its steady-state time here, so in-loop allocations in these
-// files erode the near-zero allocs/op budgets. (File names don't
-// collide across the two packages today; scope by package if they
-// ever do.)
+// scratchFiles are the internal/core, internal/sim and internal/graph
+// files on the hot paths: a Plan()/Replan() call, a pooled simulation
+// or a scale-search probe's schedule, liveness and chain walks spend
+// their time here, so in-loop allocations in these files erode the
+// allocs/op budgets. (File names don't collide across the three
+// packages today; scope by package if they ever do.)
 var scratchFiles = map[string]bool{
 	// internal/core — the planner's Plan()/Replan() hot path.
 	"planner.go":     true,
@@ -56,8 +57,10 @@ var scratchFiles = map[string]bool{
 	"exec.go":      true,
 	"execsplit.go": true,
 	"postop.go":    true,
-	"walker.go":    true,
 	"simpool.go":   true,
+	// internal/graph — schedule, liveness and the chain walker.
+	"schedule.go": true,
+	"chain.go":    true,
 }
 
 func runScratchReuse(p *Pass) {

@@ -44,7 +44,7 @@ func TestAllModelsBuildAndSchedule(t *testing.T) {
 			// Every op must come after its producers.
 			for _, op := range g.Ops {
 				for _, in := range op.Inputs {
-					if p := in.Producer; p != nil && s.Index[p] >= s.Index[op] {
+					if p := in.Producer; p != nil && s.Pos[p.ID] >= s.Pos[op.ID] {
 						t.Fatalf("op %s scheduled before producer %s", op, p)
 					}
 				}

@@ -430,7 +430,7 @@ func effectiveKindOf(op *graph.Op) graph.OpKind {
 // hasUseAfter reports whether t has any consumer scheduled after i.
 func (s *Simulator) hasUseAfter(t *graph.Tensor, i int) bool {
 	for _, c := range t.Consumers {
-		if int(s.schedIdx[c.ID]) > i {
+		if s.Sched.Pos[c.ID] > i {
 			return true
 		}
 	}

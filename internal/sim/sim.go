@@ -364,8 +364,6 @@ type Simulator struct {
 	planIDs   []int32
 	splitIdx  []int32
 	splitList []core.OpSplit
-	// schedIdx maps op ID -> schedule index.
-	schedIdx []int32
 
 	// opTime caches Cost.OpTime per schedule index. The cost model is
 	// pure in (device, op), so the cache survives pool recycling as
@@ -409,12 +407,12 @@ type Simulator struct {
 	microPtrs    []*memorypool.Block
 	microOn      []bool
 
-	// Recompute-chain scratch: an epoch-stamped DFS walker plus
-	// free-lists of chain/frame/fresh buffers (free-lists, not single
-	// buffers, because regeneration re-enters through ensureInput).
-	walker    chainWalker
+	// Recompute-chain scratch: the shared chain walker plus free-lists
+	// of chain/fresh buffers (free-lists, not single buffers, because
+	// regeneration re-enters through ensureInput: executing a chain can
+	// drop tensors whose next use walks a nested chain).
+	walker    graph.ChainWalker
 	chainFree [][]*graph.Op
-	frameFree [][]chainFrame
 	freshFree [][]*graph.Tensor
 
 	// compactions counts defragmentation passes this run (bounded to
@@ -580,10 +578,6 @@ func (s *Simulator) reset() {
 	for opID, spl := range s.Plan.Splits {
 		s.splitIdx[opID] = int32(len(s.splitList))
 		s.splitList = append(s.splitList, spl)
-	}
-	s.schedIdx = grow(s.schedIdx, nOps)
-	for i, op := range s.Sched.Ops {
-		s.schedIdx[op.ID] = int32(i)
 	}
 	for _, t := range s.G.Tensors {
 		s.remaining[t.ID] = int32(len(t.Consumers))
